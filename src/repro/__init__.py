@@ -25,21 +25,12 @@ Subpackages
     live terminal dashboard over the running fleet.
 ``repro.experiments``
     Runners regenerating every table and figure of the evaluation.
-"""
 
-from . import data, experiments, fleet, hmd, ml, obs, sim, uncertainty, viz
+Importing ``repro`` loads no subpackage; import the one you need
+(``import repro.fleet``), so a fleet process never pays for the
+experiment runners or scipy.
+"""
 
 __version__ = "1.1.0"
 
-__all__ = [
-    "data",
-    "experiments",
-    "fleet",
-    "hmd",
-    "ml",
-    "obs",
-    "sim",
-    "uncertainty",
-    "viz",
-    "__version__",
-]
+__all__ = ["__version__"]

@@ -12,7 +12,6 @@ ensemble-entropy as unknown-workload detectors.
 from __future__ import annotations
 
 import numpy as np
-from scipy import optimize
 
 from .base import BaseEstimator, ClassifierMixin, clone
 from .validation import check_X_y, column_or_1d
@@ -53,6 +52,10 @@ class PlattScaler(BaseEstimator):
             return loss, np.array(
                 [np.mean(grad_common * scores), np.mean(grad_common)]
             )
+
+        # Local import: scipy.optimize is slow to load, and the fleet
+        # imports repro.ml without ever fitting a calibrator.
+        from scipy import optimize
 
         result = optimize.minimize(
             objective, np.array([1.0, 0.0]), jac=True, method="L-BFGS-B"

@@ -2,14 +2,12 @@
 
 HPC-based HMDs can only sample a handful of counters concurrently, so
 the literature (Demme et al., Zhou et al., Sayadi et al.) ranks and
-selects counters before training.  This module provides the standard
-filter methods:
+selects counters before training.  This module provides the filter
+method the feature-budget ablation uses:
 
-* :func:`f_classif` — one-way ANOVA F-statistic per feature;
 * :func:`mutual_info_classif` — histogram-estimated mutual information
   between each feature and the label;
-* :class:`SelectKBest` — keep the top-k features under either score;
-* :class:`VarianceThreshold` — drop (near-)constant features.
+* :class:`SelectKBest` — keep the top-k features under a score.
 """
 
 from __future__ import annotations
@@ -19,34 +17,7 @@ import numpy as np
 from .base import BaseEstimator, TransformerMixin
 from .validation import check_array, check_is_fitted, check_X_y
 
-__all__ = ["f_classif", "mutual_info_classif", "SelectKBest", "VarianceThreshold"]
-
-
-def f_classif(X, y) -> np.ndarray:
-    """One-way ANOVA F-statistic of each feature against the labels."""
-    X, y = check_X_y(X, y)
-    classes = np.unique(y)
-    if len(classes) < 2:
-        raise ValueError("f_classif requires at least 2 classes.")
-    n, _ = X.shape
-    overall_mean = X.mean(axis=0)
-    ss_between = np.zeros(X.shape[1])
-    ss_within = np.zeros(X.shape[1])
-    for cls in classes:
-        members = X[y == cls]
-        mean = members.mean(axis=0)
-        ss_between += len(members) * (mean - overall_mean) ** 2
-        ss_within += ((members - mean) ** 2).sum(axis=0)
-    df_between = len(classes) - 1
-    df_within = n - len(classes)
-    if df_within <= 0:
-        raise ValueError("Not enough samples for within-class variance.")
-    ms_between = ss_between / df_between
-    ms_within = ss_within / df_within
-    with np.errstate(divide="ignore", invalid="ignore"):
-        f = np.where(ms_within > 0, ms_between / np.maximum(ms_within, 1e-30), np.inf)
-    f[(ms_within == 0) & (ms_between == 0)] = 0.0
-    return f
+__all__ = ["mutual_info_classif", "SelectKBest"]
 
 
 def mutual_info_classif(X, y, *, n_bins: int = 16) -> np.ndarray:
@@ -87,20 +58,19 @@ class SelectKBest(BaseEstimator, TransformerMixin):
     Parameters
     ----------
     score_func:
-        ``(X, y) -> scores`` callable; defaults to :func:`f_classif`.
+        ``(X, y) -> scores`` callable, e.g. :func:`mutual_info_classif`.
     k:
         Number of features to keep (or ``"all"``).
     """
 
-    def __init__(self, score_func=None, *, k: int | str = 10):
+    def __init__(self, score_func, *, k: int | str = 10):
         self.score_func = score_func
         self.k = k
 
     def fit(self, X, y) -> "SelectKBest":
         """Score all features and memorise the top-k support."""
         X, y = check_X_y(X, y)
-        score_func = self.score_func if self.score_func is not None else f_classif
-        self.scores_ = np.asarray(score_func(X, y), dtype=float)
+        self.scores_ = np.asarray(self.score_func(X, y), dtype=float)
         if len(self.scores_) != X.shape[1]:
             raise ValueError("score_func returned the wrong number of scores.")
         self.n_features_in_ = X.shape[1]
@@ -130,38 +100,3 @@ class SelectKBest(BaseEstimator, TransformerMixin):
         check_is_fitted(self, "support_")
         return np.flatnonzero(self.support_) if indices else self.support_
 
-
-class VarianceThreshold(BaseEstimator, TransformerMixin):
-    """Remove features whose variance is at or below ``threshold``."""
-
-    def __init__(self, threshold: float = 0.0):
-        self.threshold = threshold
-
-    def fit(self, X, y=None) -> "VarianceThreshold":
-        """Compute feature variances and the retained support."""
-        if self.threshold < 0:
-            raise ValueError("threshold must be >= 0.")
-        X = check_array(X)
-        self.variances_ = X.var(axis=0)
-        self.support_ = self.variances_ > self.threshold
-        if not self.support_.any():
-            raise ValueError(
-                "No feature exceeds the variance threshold."
-            )
-        self.n_features_in_ = X.shape[1]
-        return self
-
-    def transform(self, X) -> np.ndarray:
-        """Drop the low-variance features."""
-        check_is_fitted(self, "support_")
-        X = check_array(X)
-        if X.shape[1] != self.n_features_in_:
-            raise ValueError(
-                f"Expected {self.n_features_in_} features, got {X.shape[1]}."
-            )
-        return X[:, self.support_]
-
-    def get_support(self, indices: bool = False) -> np.ndarray:
-        """Boolean mask (or indices) of retained features."""
-        check_is_fitted(self, "support_")
-        return np.flatnonzero(self.support_) if indices else self.support_

@@ -19,7 +19,6 @@ from __future__ import annotations
 import warnings
 
 import numpy as np
-from scipy import optimize
 
 from .base import BaseEstimator, ClassifierMixin
 from .exceptions import ConvergenceError, ConvergenceWarning
@@ -85,6 +84,10 @@ class LinearSVC(BaseEstimator, ClassifierMixin):
         rng = check_random_state(self.random_state)
         size = n_features + (1 if self.fit_intercept else 0)
         w0 = rng.normal(scale=1e-3, size=size)
+        # Local import: scipy.optimize is slow to load, and the fleet
+        # imports repro.ml without ever fitting this model.
+        from scipy import optimize
+
         result = optimize.minimize(
             objective,
             w0,

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.ml import SelectKBest, VarianceThreshold, f_classif, mutual_info_classif
+from repro.ml import SelectKBest, mutual_info_classif
 
 
 def _informative_data(seed=0, n=300):
@@ -19,24 +19,6 @@ def _informative_data(seed=0, n=300):
         ]
     )
     return X, y
-
-
-class TestFClassif:
-    def test_informative_score_higher(self):
-        X, y = _informative_data()
-        scores = f_classif(X, y)
-        assert scores[0] > scores[2] * 10
-        assert scores[1] > scores[3] * 10
-
-    def test_constant_feature_zero(self):
-        X, y = _informative_data()
-        X = np.column_stack([X, np.ones(len(y))])
-        scores = f_classif(X, y)
-        assert scores[-1] == 0.0
-
-    def test_requires_two_classes(self):
-        with pytest.raises(ValueError):
-            f_classif(np.zeros((5, 2)) + np.arange(2), np.zeros(5))
 
 
 class TestMutualInfo:
@@ -64,57 +46,36 @@ class TestMutualInfo:
 class TestSelectKBest:
     def test_keeps_informative_features(self):
         X, y = _informative_data(seed=4)
-        selector = SelectKBest(k=2).fit(X, y)
+        selector = SelectKBest(mutual_info_classif, k=2).fit(X, y)
         np.testing.assert_array_equal(selector.get_support(indices=True), [0, 1])
 
     def test_transform_shape(self):
         X, y = _informative_data(seed=5)
-        Z = SelectKBest(k=3).fit_transform(X, y)
+        Z = SelectKBest(mutual_info_classif, k=3).fit_transform(X, y)
         assert Z.shape == (len(y), 3)
 
     def test_k_all(self):
         X, y = _informative_data(seed=6)
-        Z = SelectKBest(k="all").fit_transform(X, y)
+        Z = SelectKBest(mutual_info_classif, k="all").fit_transform(X, y)
         assert Z.shape == X.shape
 
     def test_custom_score_func(self):
+        # Scores that favour the noise columns: the selection must follow
+        # the callable, not the data.
         X, y = _informative_data(seed=7)
-        selector = SelectKBest(mutual_info_classif, k=2).fit(X, y)
-        assert set(selector.get_support(indices=True)) == {0, 1}
+        selector = SelectKBest(lambda X, y: np.arange(X.shape[1]), k=2).fit(X, y)
+        assert set(selector.get_support(indices=True)) == {2, 3}
 
     def test_invalid_k(self):
         X, y = _informative_data()
         with pytest.raises(ValueError):
-            SelectKBest(k=0).fit(X, y)
+            SelectKBest(mutual_info_classif, k=0).fit(X, y)
         with pytest.raises(ValueError):
-            SelectKBest(k=100).fit(X, y)
+            SelectKBest(mutual_info_classif, k=100).fit(X, y)
 
     def test_transform_feature_mismatch(self):
         X, y = _informative_data()
-        selector = SelectKBest(k=2).fit(X, y)
+        selector = SelectKBest(mutual_info_classif, k=2).fit(X, y)
         with pytest.raises(ValueError):
             selector.transform(X[:, :2])
 
-
-class TestVarianceThreshold:
-    def test_drops_constant(self):
-        X = np.column_stack([np.ones(10), np.arange(10.0)])
-        Z = VarianceThreshold().fit_transform(X)
-        assert Z.shape == (10, 1)
-
-    def test_threshold_level(self):
-        rng = np.random.default_rng(8)
-        X = np.column_stack(
-            [rng.normal(scale=0.01, size=100), rng.normal(scale=1.0, size=100)]
-        )
-        selector = VarianceThreshold(threshold=0.01).fit(X)
-        np.testing.assert_array_equal(selector.get_support(indices=True), [1])
-
-    def test_all_dropped_raises(self):
-        X = np.ones((5, 2))
-        with pytest.raises(ValueError):
-            VarianceThreshold().fit(X)
-
-    def test_negative_threshold_rejected(self):
-        with pytest.raises(ValueError):
-            VarianceThreshold(threshold=-1.0).fit(np.zeros((3, 1)) + np.arange(3)[:, None])

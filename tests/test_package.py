@@ -7,6 +7,10 @@ docstrings) across the whole library.
 
 import importlib
 import inspect
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -35,7 +39,6 @@ MODULES = [
     "repro.hmd.features",
     "repro.hmd.pipeline",
     "repro.ml.base",
-    "repro.ml.boosting",
     "repro.ml.calibration",
     "repro.ml.cluster",
     "repro.ml.decomposition",
@@ -44,9 +47,6 @@ MODULES = [
     "repro.ml.linear",
     "repro.ml.manifold",
     "repro.ml.model_selection",
-    "repro.ml.naive_bayes",
-    "repro.ml.neighbors",
-    "repro.ml.pipeline",
     "repro.ml.preprocessing",
     "repro.ml.svm",
     "repro.ml.tree",
@@ -108,3 +108,22 @@ def test_public_callables_documented(name):
 
 def test_version_exposed():
     assert repro.__version__
+
+
+def test_fleet_import_skips_scipy_and_experiments():
+    # A fresh interpreter: this process has long since loaded both.
+    src = str(Path(repro.__file__).resolve().parents[1])
+    code = (
+        "import sys, repro.fleet; "
+        "print(sorted(m for m in ('scipy', 'repro.experiments') "
+        "if m in sys.modules))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

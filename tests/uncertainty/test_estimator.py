@@ -8,7 +8,6 @@ from repro.ml import (
     DecisionTreeClassifier,
     LogisticRegression,
     RandomForestClassifier,
-    VotingClassifier,
 )
 from repro.uncertainty import EnsembleUncertaintyEstimator
 from tests.conftest import make_blobs
@@ -41,9 +40,6 @@ class TestConstruction:
         for ensemble in (
             RandomForestClassifier(n_estimators=5, random_state=0).fit(X, y),
             BaggingClassifier(n_estimators=5, random_state=0).fit(X, y),
-            VotingClassifier(
-                [("lr", LogisticRegression()), ("tree", DecisionTreeClassifier(max_depth=3))]
-            ).fit(X, y),
         ):
             estimator = EnsembleUncertaintyEstimator(ensemble)
             assert estimator.predictive_entropy(X[:5]).shape == (5,)
