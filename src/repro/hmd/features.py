@@ -13,29 +13,37 @@ This is the "Feature Extraction" box of the paper's HMD pipeline
   plus log-scaled raw counts.  Matches Zhou et al., where every counter
   sample is a data point (hence the much larger HPC dataset in Table I).
 
-Two extraction paths are maintained per extractor:
+DVFS extraction has two paths: the **per-window reference**
+(:meth:`DvfsFeatureExtractor.extract`, ``extract_windows_reference``),
+the readable specification of every feature, and the **channel-fused
+batched path** (:meth:`DvfsFeatureExtractor.extract_windows`).  The
+latter copies the trace once into ``(n_channels, n_windows,
+window_steps)``, so every (channel, window) *line* is contiguous, and
+runs each feature group once over all lines: one offset ``bincount``
+(each line in its own bin block), one flat ``diff``/run-start pass, one
+``rfft``, one reduction per statistic.
 
-* a **per-window reference path** (:meth:`DvfsFeatureExtractor.extract`,
-  :meth:`DvfsFeatureExtractor.extract_windows_reference`) — one window
-  at a time, the readable specification of every feature;
-* a **batched path** (:meth:`DvfsFeatureExtractor.extract_windows`) —
-  the trace is reshaped to ``(n_windows, n_channels, window_steps)``
-  and every feature is computed for *all* windows at once with
-  whole-tensor numpy ops.
+It is **bitwise identical** to the reference because both run the same
+float operations in the same order:
 
-The batched path is **bitwise identical** to the reference path.  That
-is not automatic for floating point — it holds because both paths are
-written against the same numpy reduction machinery: every float
-accumulation reduces a *contiguous* innermost axis (numpy applies the
-same pairwise summation to a 1-D contiguous array and to each line of a
-C-contiguous 2-D array), dot products are spelled multiply-then-sum
-(BLAS ``ddot`` has a different accumulation order and is avoided on
-both paths), and everything else is either elementwise or an exact
-integer reduction.  ``tests/hmd/test_features_batched.py`` enforces the
-equivalence across randomized traces.
+* float sums reduce a contiguous last axis, where numpy applies the
+  same pairwise summation per line as to a 1-D array; dot products are
+  multiply-then-sum on both paths (BLAS ``ddot`` sums in another order);
+* state fractions, transition and up rates, mean jump and mean dwell
+  are an exact integer (histogram count, run count, integer sum) over
+  ``window_steps`` or ``window_steps - 1``: the reference's float sums
+  of 0/1 or small integers are exact, so both divide the same numbers;
+* ``std`` is ``sqrt(sum(c * c) / n)`` of the centred signal ``c``, as
+  ``np.std`` runs it, sharing the autocorrelation's sum of squares;
+  normalised states come from one per-state division done the same way.
+
+``tests/hmd/test_features_batched.py`` pins the equivalence bitwise.
 """
 
 from __future__ import annotations
+
+import functools
+from typing import NamedTuple
 
 import numpy as np
 
@@ -216,177 +224,169 @@ class DvfsFeatureExtractor:
         """Split a long trace into windows and extract all of them at once.
 
         Trailing steps that do not fill a whole window are dropped.
-        Returns the same ``(n_windows, n_features)`` matrix as
-        :meth:`extract_windows_reference`, bitwise, but computed with
-        whole-tensor ops: one offset-``bincount`` per channel for the
-        residency histograms, axis-wise ``diff`` reductions for the
-        transition statistics, flattened change-point arithmetic for the
-        dwell run-lengths, one batched ``rfft`` per channel for the
-        spectral bands, and pairwise multiply-sum for the cross-channel
-        correlations.
+        Returns the ``(n_windows, n_features)`` matrix of
+        :meth:`extract_windows_reference`, bitwise, from the
+        channel-fused pass described in the module docstring.
         """
         n_windows = self._check_windowing(trace, window_steps)
-        n_channels = trace.n_channels
-        used = n_windows * window_steps
-        # (n_windows, n_channels, window_steps) with each per-(window,
-        # channel) series contiguous — the layout every reduction below
-        # needs for bitwise identity with the 1-D reference path.
-        S = np.ascontiguousarray(
-            trace.states[:used]
-            .reshape(n_windows, window_steps, n_channels)
-            .transpose(0, 2, 1)
-        )
-
-        blocks: list[np.ndarray] = []
-        stds = np.empty((n_windows, n_channels))
-        variances = np.empty((n_windows, n_channels))
-        centered_all = np.empty((n_windows, n_channels, window_steps))
-
-        for c in range(n_channels):
-            states = S[:, c, :]
-            n_states = trace.n_states(c)
-            if states.size and int(states.max()) >= n_states:
-                # The offset bincount below would silently bleed an
-                # out-of-range state into the next window's bin block;
-                # fail loudly instead (the per-window reference path
-                # errors on such traces too, at stack time).
-                raise ValueError(
-                    f"channel {trace.channel_names[c]!r} contains state "
-                    f"{int(states.max())} but only {n_states} frequency "
-                    "states are defined."
-                )
-
-            # Residency histogram: one bincount over all windows, each
-            # window shifted into its own bin block.
-            offsets = np.arange(n_windows, dtype=np.int64)[:, None] * n_states
-            counts = np.bincount(
-                (states + offsets).ravel(), minlength=n_windows * n_states
-            ).reshape(n_windows, n_states)
-            hist = counts.astype(float)
-            hist /= window_steps
-
-            norm = states / max(n_states - 1, 1)
-            mean = norm.mean(axis=-1)
-            std = norm.std(axis=-1)
-            stds[:, c] = std
-
-            diffs = np.diff(states, axis=-1)
-            nonzero = diffs != 0
-            transition_rate = nonzero.mean(axis=-1)
-            up_rate = (diffs > 0).mean(axis=-1)
-            abs_jump = np.abs(diffs)
-            mean_jump = abs_jump.mean(axis=-1)
-            max_jump = abs_jump.max(axis=-1).astype(float)
-
-            mean_dwell, max_dwell_frac = self._dwell_stats_batched(nonzero)
-
-            centered = norm - mean[:, None]
-            centered_all[:, c, :] = centered
-            var = (centered * centered).sum(axis=-1)
-            variances[:, c] = var
-            numer = (centered[:, :-1] * centered[:, 1:]).sum(axis=-1)
-            autocorr = np.zeros(n_windows)
-            valid = var > 1e-12
-            if window_steps > 1:
-                np.divide(numer, var, out=autocorr, where=valid)
-
-            bands = self._spectral_bands_batched(centered)
-
-            blocks.append(
-                np.column_stack(
-                    [
-                        hist,
-                        mean,
-                        std,
-                        transition_rate,
-                        up_rate,
-                        mean_jump,
-                        max_jump,
-                        (states == n_states - 1).mean(axis=-1),
-                        (states == 0).mean(axis=-1),
-                        (norm < 0.5).mean(axis=-1),
-                        mean_dwell,
-                        max_dwell_frac,
-                        autocorr,
-                        bands,
-                    ]
-                )
+        n_channels, steps = trace.n_channels, window_steps
+        n_states = tuple(trace.n_states(c) for c in range(n_channels))
+        layout = _fused_layout(n_windows, steps, n_states, self.N_SPECTRAL_BANDS)
+        # Row c * n_windows + w of ``lines`` is window w of channel c.
+        S = trace.states[: n_windows * steps].T.copy()
+        lines, flat = S.reshape(-1, steps), S.ravel()
+        low, high = S.min(axis=1), S.max(axis=1)
+        bad = (low < 0) | (high >= layout.n_states)
+        if bad.any():
+            # The bincount would file it in another line's bin block.
+            c = int(np.argmax(bad))
+            state = int(low[c] if low[c] < 0 else high[c])
+            raise ValueError(
+                f"channel {trace.channel_names[c]!r} contains state {state} "
+                f"but only {layout.n_states[c]} frequency states are defined."
             )
+        # Per line: the _CHANNEL_STATS, then the spectral bands.
+        stats = np.zeros((len(lines), len(self._CHANNEL_STATS) + self.N_SPECTRAL_BANDS))
 
-        if n_channels > 1:
-            idx_a, idx_b = np.triu_indices(n_channels, k=1)
-            # Fancy indexing copies → contiguous lines → the per-pair
-            # multiply-sum reduces exactly like the 1-D reference.
-            ca = centered_all[:, idx_a, :]
-            cb = centered_all[:, idx_b, :]
-            numer = (ca * cb).sum(axis=-1)
-            denom = np.sqrt(variances[:, idx_a] * variances[:, idx_b])
-            valid = (stds[:, idx_a] > 1e-9) & (stds[:, idx_b] > 1e-9)
-            xcorr = np.zeros_like(numer)
-            np.divide(numer, denom, out=xcorr, where=valid)
-            np.clip(xcorr, -1.0, 1.0, out=xcorr)
-            blocks.append(xcorr)
+        # Transitions and dwell runs.  Elementwise ops run over the flat
+        # tensor; the one slot per line that spans a line boundary is
+        # left out of every reduction by the ``[:, :-1]`` views.
+        jumps = np.empty_like(lines)
+        np.subtract(flat[1:], flat[:-1], out=jumps.ravel()[:-1])
+        # Run starts: each line's first step, every change and an end
+        # sentinel.  Runs never span lines; one flat pass finds them all.
+        starts = np.empty(flat.size + 1, dtype=bool)
+        np.not_equal(jumps.ravel()[:-1], 0, out=starts[1:-1])
+        starts[layout.line_bounds] = True
+        run_starts = np.flatnonzero(starts)
+        bounds = np.searchsorted(run_starts, layout.line_bounds)
+        n_runs = bounds[1:] - bounds[:-1]
+        max_run = np.maximum.reduceat(run_starts[1:] - run_starts[:-1], bounds[:-1])
+        # Ups + downs is the change count; ups - downs the sum of signs.
+        n_up = (n_runs - 1 + np.sign(jumps)[:, :-1].sum(axis=-1)) // 2
+        np.abs(jumps, out=jumps)
+        n_jumps = [n_runs - 1, n_up, jumps[:, :-1].sum(axis=-1)]  # rates, mean jump
+        stats[:, 2:5] = np.column_stack(n_jumps) / (steps - 1)
+        stats[:, 5] = jumps[:, :-1].max(axis=-1)  # max_jump
+        stats[:, 9] = steps / n_runs  # mean_dwell
+        stats[:, 10] = max_run / steps  # max_dwell_frac
+        del jumps, starts
 
-        temp = trace.temperature_c[:used].reshape(n_windows, window_steps)
-        slope = (temp[:, -1] - temp[:, 0]) / max(window_steps - 1, 1)
-        blocks.append(
-            np.column_stack([temp.mean(axis=-1), temp.std(axis=-1), slope])
+        # Residency: ONE bincount over lines shifted into their own bin
+        # blocks; the top/bottom/low-half state counts are masked sums.
+        bins = S.reshape(n_channels, n_windows, steps) + layout.bin_offsets
+        counts = np.bincount(bins.ravel(), minlength=layout.norm_of_bin.size)
+        counts = counts.reshape(n_windows, -1)
+        hist = counts / steps
+        # frac_max_state, frac_min_state, frac_low_half
+        state_counts = (counts @ layout.state_masks).reshape(n_windows, n_channels, 3)
+        stats[:, 6:9] = state_counts.transpose(1, 0, 2).reshape(-1, 3) / steps
+
+        # The centred normalised signal, shared by the moments,
+        # autocorrelation, spectrum and cross-correlation; ``work``
+        # holds each product in turn.
+        centered = np.take(layout.norm_of_bin, bins).reshape(lines.shape)
+        del S, lines, flat, bins
+        mean = centered.mean(axis=-1)
+        centered -= mean[:, None]
+        work = np.empty_like(centered)
+        sumsq = np.multiply(centered, centered, out=work).sum(axis=-1)
+        std = np.sqrt(sumsq / steps)
+        stats[:, 0], stats[:, 1] = mean, std
+        np.multiply(centered.ravel()[:-1], centered.ravel()[1:], out=work.ravel()[:-1])
+        lag1 = work[:, :-1].sum(axis=-1)
+        np.divide(lag1, sumsq, out=stats[:, 11], where=sumsq > 1e-12)  # autocorr
+
+        spectrum = np.abs(np.fft.rfft(centered, axis=-1))
+        spectrum *= spectrum
+        total = spectrum[:, 1:].sum(axis=-1)[:, None]
+        bands = [spectrum[:, lo:hi].sum(axis=-1) for lo, hi in layout.band_bounds]
+        np.divide(np.column_stack(bands), total, out=stats[:, 12:], where=total > 0)
+
+        # xcorr pairs (a, b > a): channel a times all later ones, in ``work``.
+        a, b = layout.pairs
+        blocks = centered.reshape(n_channels, n_windows, steps)
+        products = work.reshape(blocks.shape)
+        numer = np.empty((len(a), n_windows))
+        for c in range(n_channels - 1):
+            np.multiply(blocks[c], blocks[c + 1 :], out=products[c + 1 :])
+            numer[a == c] = products[c + 1 :].sum(axis=-1)
+        sumsq, std = sumsq.reshape(n_channels, -1).T, std.reshape(n_channels, -1).T
+        denom = np.sqrt(sumsq[:, a] * sumsq[:, b])
+        valid = (std[:, a] > 1e-9) & (std[:, b] > 1e-9)
+        xcorr = np.divide(numer.T, denom, out=np.zeros_like(denom), where=valid)
+
+        temp = trace.temperature_c[: n_windows * steps].reshape(n_windows, steps)
+        temp_mean = temp.mean(axis=-1)
+        temp_std = np.sqrt(np.square(temp - temp_mean[:, None]).sum(axis=-1) / steps)
+        slope = (temp[:, -1] - temp[:, 0]) / (steps - 1)
+        per_channel = stats.reshape(n_channels, n_windows, -1).transpose(1, 0, 2)
+        grouped = np.column_stack(
+            [hist, per_channel.reshape(n_windows, -1), np.clip(xcorr, -1.0, 1.0)]
+            + [temp_mean, temp_std, slope]
         )
-        return np.concatenate(
-            [b if b.ndim == 2 else b[:, None] for b in blocks], axis=1
-        )
+        return grouped[:, layout.order]
 
-    @staticmethod
-    def _dwell_stats_batched(nonzero_diffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per-window dwell statistics via flattened run-length arithmetic.
 
-        ``nonzero_diffs`` is the boolean ``(n_windows, window_steps-1)``
-        change mask.  Runs never span windows (each window's first step
-        starts a run), so run lengths of *all* windows fall out of one
-        ``flatnonzero``/``diff`` pass over the flattened mask.
-        """
-        n_windows, m = nonzero_diffs.shape
-        window_steps = m + 1
-        starts = np.empty((n_windows, window_steps), dtype=bool)
-        starts[:, 0] = True
-        starts[:, 1:] = nonzero_diffs
-        flat_starts = np.flatnonzero(starts.ravel())
-        run_lengths = np.diff(
-            np.append(flat_starts, n_windows * window_steps)
-        )
-        window_of_run = flat_starts // window_steps
-        n_runs = np.bincount(window_of_run, minlength=n_windows)
-        first_run = np.searchsorted(window_of_run, np.arange(n_windows))
-        max_run = np.maximum.reduceat(run_lengths, first_run)
-        # Run lengths per window sum to exactly window_steps, so the
-        # reference's float mean is exactly window_steps / n_runs.
-        mean_dwell = window_steps / n_runs
-        max_dwell_frac = max_run / window_steps
-        return mean_dwell, max_dwell_frac
+class _FusedLayout(NamedTuple):
+    """Constants of the fused pass that depend only on the trace shape."""
 
-    def _spectral_bands_batched(self, centered: np.ndarray) -> np.ndarray:
-        """Band energies for all windows of one channel at once.
+    n_states: np.ndarray      # per channel
+    bin_offsets: np.ndarray   # (n_channels, n_windows, 1): each line's bin block
+    norm_of_bin: np.ndarray   # normalised frequency of each bin's state
+    state_masks: np.ndarray   # (bins per window, 3 * n_channels) 0/1 columns
+    line_bounds: np.ndarray   # flat start of each line, then the end
+    band_bounds: tuple        # (lo, hi) rfft bins of each spectral band
+    pairs: tuple              # channel indices (a, b) of each xcorr pair
+    order: np.ndarray         # output column -> column of the grouped blocks
 
-        ``centered`` is the mean-removed normalised signal,
-        ``(n_windows, window_steps)`` contiguous; one batched ``rfft``
-        covers every window.
-        """
-        n_windows = centered.shape[0]
-        spectrum = np.abs(np.fft.rfft(centered, axis=-1)) ** 2
-        out = np.zeros((n_windows, self.N_SPECTRAL_BANDS))
-        if spectrum.shape[-1] <= 1:
-            return out
-        spectrum = spectrum[:, 1:]  # drop DC
-        total = spectrum.sum(axis=-1)
-        valid = total > 0
-        # Same band boundaries as np.array_split in the reference.
-        edges = np.array_split(np.arange(spectrum.shape[-1]), self.N_SPECTRAL_BANDS)
-        for b, edge in enumerate(edges):
-            if len(edge) == 0:
-                continue
-            band_sum = spectrum[:, edge[0] : edge[-1] + 1].sum(axis=-1)
-            np.divide(band_sum, total, out=out[:, b], where=valid)
-        return out
+
+@functools.lru_cache(maxsize=64)
+def _fused_layout(
+    n_windows: int, window_steps: int, n_states: tuple, n_bands: int
+) -> _FusedLayout:
+    n_channels = len(n_states)
+    k = np.array(n_states)
+    n_bins = int(k.sum())
+    first_bin = np.cumsum(k) - k
+    channel_of_bin = np.repeat(np.arange(n_channels), k)
+    # The reference's ``states / max(n_states - 1, 1)``, once per state.
+    state = np.arange(n_bins) - first_bin[channel_of_bin]
+    norm = state / np.maximum(k - 1, 1)[channel_of_bin]
+    # Per channel: its highest state, state 0, the states below 0.5.
+    masks = np.zeros((n_bins, n_channels, 3), dtype=np.int64)
+    masks[np.arange(n_bins), channel_of_bin] = np.column_stack(
+        [state == k[channel_of_bin] - 1, state == 0, norm < 0.5]
+    )
+    # rfft bins past DC, split like np.array_split in the reference.
+    sizes = [len(p) for p in np.array_split(np.arange(window_steps // 2), n_bands)]
+    bounds = (1 + np.cumsum([0] + sizes)).tolist()
+    # Grouped blocks: all residency bins, per-channel stats, then xcorr
+    # pairs and temperature; the output interleaves the first two.
+    n_stats = len(DvfsFeatureExtractor._CHANNEL_STATS) + n_bands
+    tail = n_bins + n_channels * n_stats
+    n_pairs = n_channels * (n_channels - 1) // 2
+    order = np.concatenate(
+        [
+            np.r_[first_bin[c] : first_bin[c] + k[c], start : start + n_stats]
+            for c, start in enumerate(range(n_bins, tail, n_stats))
+        ]
+        + [np.arange(tail, tail + n_pairs + 3)]
+    )
+    layout = _FusedLayout(
+        n_states=k,
+        bin_offsets=(first_bin[:, None] + np.arange(n_windows) * n_bins)[..., None],
+        norm_of_bin=np.tile(norm, n_windows),
+        state_masks=masks.reshape(n_bins, -1),
+        line_bounds=np.arange(n_windows * n_channels + 1) * window_steps,
+        band_bounds=tuple(zip(bounds[:-1], bounds[1:])),
+        pairs=np.triu_indices(n_channels, k=1),
+        order=order,
+    )
+    for field in (*layout, *layout.pairs):
+        if isinstance(field, np.ndarray):
+            field.flags.writeable = False
+    return layout
 
 
 class HpcFeatureExtractor:

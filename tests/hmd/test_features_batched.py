@@ -3,10 +3,12 @@
 The batched feature paths and the fused scaler→PCA front are pure
 performance backends: they must never change results.
 
-* ``DvfsFeatureExtractor.extract_windows`` (whole-tensor) vs.
+* ``DvfsFeatureExtractor.extract_windows`` (channel-fused) vs.
   ``extract_windows_reference`` (per-window loop): **bitwise identical**
-  across randomized trace lengths, channel counts, state cardinalities,
-  constant signals and minimal (len ≤ 2) windows.
+  across randomized and hypothesis-generated trace lengths, channel
+  counts, state cardinalities, state dtypes and memory layouts,
+  constant signals and minimal (len ≤ 2) windows, and on the training
+  data ``build_dvfs_dataset`` produces.
 * ``HpcFeatureExtractor.extract_many`` vs. stacked per-trace
   ``extract``: bitwise identical.
 * The fused affine front of ``TrustedHMD``/``UntrustedHMD`` vs. the
@@ -16,7 +18,10 @@ performance backends: they must never change results.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.data import build_dvfs_dataset, clear_dataset_cache
 from repro.hmd import DvfsFeatureExtractor, HpcFeatureExtractor
 from repro.hmd.apps import DVFS_KNOWN_BENIGN
 from repro.ml.ensemble import BaggingClassifier, RandomForestClassifier
@@ -147,7 +152,13 @@ class TestDvfsBatchedEquivalence:
             extractor.extract_windows(trace, 11)
 
     def test_out_of_range_state_fails_loudly(self):
-        """States beyond the frequency table must not corrupt bins."""
+        """States outside the frequency table must not corrupt bins.
+
+        The fused bincount shifts every (channel, window) line into its
+        own bin block, so an unchecked state past either end of the
+        table would be counted in a neighbouring window's or channel's
+        block instead of failing.
+        """
         extractor = DvfsFeatureExtractor()
         trace = DvfsTrace(
             states=np.full((8, 1), 2, dtype=int),  # only states 0-1 defined
@@ -157,6 +168,92 @@ class TestDvfsBatchedEquivalence:
         )
         with pytest.raises(ValueError, match="frequency states"):
             extractor.extract_windows(trace, 4)
+        for bad_state in (-1, 3):
+            states = np.zeros((40, 2), dtype=int)
+            states[25, 1] = bad_state  # window 2 of "gpu" (states 0-2)
+            trace = DvfsTrace(
+                states=states,
+                frequencies_mhz=((100.0, 200.0), (100.0, 200.0, 300.0)),
+                channel_names=("cpu", "gpu"),
+                temperature_c=np.full(40, 40.0),
+            )
+            with pytest.raises(ValueError, match="'gpu'.*frequency states"):
+                extractor.extract_windows(trace, 10)
+            with pytest.raises(ValueError):
+                extractor.extract_windows_reference(trace, 10)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        cardinalities=st.lists(st.integers(1, 12), min_size=1, max_size=5),
+        window_steps=st.integers(2, 300),
+        n_windows=st.integers(1, 4),
+        tail=st.floats(0.0, 0.999),
+        constant_channel=st.booleans(),
+        dtype=st.sampled_from([np.int64, np.int32, np.int16, np.uint8]),
+        memory=st.sampled_from(["C", "F", "sliced"]),
+    )
+    def test_generated_traces_bitwise(
+        self,
+        seed,
+        cardinalities,
+        window_steps,
+        n_windows,
+        tail,
+        constant_channel,
+        dtype,
+        memory,
+    ):
+        """Property: the fused path reproduces the reference bit for bit."""
+        rng = np.random.default_rng(seed)
+        n_steps = n_windows * window_steps + int(tail * window_steps)
+        trace = random_dvfs_trace(
+            rng,
+            n_steps=n_steps,
+            cardinalities=cardinalities,
+            constant_channel=constant_channel,
+        )
+        states = trace.states.astype(dtype)
+        if memory == "F":
+            states = np.asfortranarray(states)
+        elif memory == "sliced":
+            # Every other row of a wider array: strided in both axes.
+            wide = np.zeros((2 * n_steps, len(cardinalities) + 1), dtype=dtype)
+            wide[::2, 1:] = states
+            states = wide[::2, 1:]
+        trace = DvfsTrace(
+            states=states,
+            frequencies_mhz=trace.frequencies_mhz,
+            channel_names=trace.channel_names,
+            temperature_c=trace.temperature_c,
+        )
+        extractor = DvfsFeatureExtractor()
+        batched = extractor.extract_windows(trace, window_steps)
+        reference = extractor.extract_windows_reference(trace, window_steps)
+        assert batched.shape == reference.shape
+        assert batched.tobytes() == reference.tobytes()
+
+    def test_dataset_features_match_reference_path(self, monkeypatch):
+        """The data the model trains on is the reference path's, bitwise."""
+        key = dict(seed=7, scale=0.05)
+        clear_dataset_cache()
+        try:
+            batched = build_dvfs_dataset(**key)
+            clear_dataset_cache()
+            monkeypatch.setattr(
+                DvfsFeatureExtractor,
+                "extract_windows",
+                DvfsFeatureExtractor.extract_windows_reference,
+            )
+            reference = build_dvfs_dataset(**key)
+        finally:
+            clear_dataset_cache()
+        assert reference is not batched
+        for split in ("train", "test", "unknown"):
+            got = getattr(batched, split).X
+            want = getattr(reference, split).X
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), split
 
 
 class TestHpcBulkEquivalence:
