@@ -14,10 +14,14 @@ split — exactly the traffic mix the trusted HMD is supposed to face.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
 from ..ml.validation import check_random_state
-from ..sim.workloads import FleetDevice
+
+if TYPE_CHECKING:
+    from ..sim.workloads import FleetDevice
 
 __all__ = ["FleetWindowSampler"]
 

@@ -35,9 +35,9 @@ inference pass cannot change any verdict — the benchmark gate asserts
 bitwise identity against the unsharded monitor.  Throughput comes from
 three structural effects, not from cutting corners:
 
-1. the fused pass routes windows through the shared node tensor in
-   cache-sized row chunks (the single monitor walks far larger slot
-   blocks per batch);
+1. the fused pass reduces each window's leaves straight to a vote
+   count (the backend's ``vote_counts`` epilogue) instead of building
+   the ``(n, M)`` vote matrix;
 2. binary-ensemble verdicts reduce to the per-row malware-vote count,
    so the distribution/entropy/argmax/threshold stage becomes three
    ``take`` lookups against tables precomputed **with the original
@@ -55,13 +55,6 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from ..ml.backend import (
-    FlatForest,
-    QuantizedForest,
-    q_code_view,
-    q_feat_view,
-    q_goto_view,
-)
 from ..obs.metrics import NULL_REGISTRY, merge_snapshots, resolve_registry
 from ..uncertainty.drift import EntropyDriftMonitor
 from ..uncertainty.entropy import shannon_entropy, votes_to_distribution
@@ -653,15 +646,6 @@ _EMPTY_INDEXED_BATCH = IndexedWindowBatch(
 # The shared read-only compiled model view
 # ---------------------------------------------------------------------------
 
-# Row-chunk sizing for the fused vote pass: slots = rows x members per
-# traversal chunk.  16k slots keep every per-level working array inside
-# L2, which measures ~1.7x faster per row than the predict backend's
-# throughput-oriented 51k-slot chunks at fused batch sizes.
-_SHARD_SLOT_TARGET = 16_384
-_MIN_COMPACT = 1024
-_COMPACT_RATIO = 0.75
-
-
 class PublishedHmd:
     """One read-only compiled view of the shared HMD, used by all shards.
 
@@ -698,8 +682,6 @@ class PublishedHmd:
         self.compile_mode = getattr(hmd, "_compile_mode_", "float64")
         backend_compile = getattr(hmd.ensemble_, "compile", None)
         self.backend = backend_compile() if callable(backend_compile) else None
-        self._flat = isinstance(self.backend, FlatForest)
-        self._quantized = isinstance(self.backend, QuantizedForest)
 
         # The preprocessing front, captured for the fused pass.  Without
         # a PCA stage ``hmd._transform`` is ``(X - mean) / scale``;
@@ -740,12 +722,11 @@ class PublishedHmd:
                 np.argmax(distribution, axis=1)
             ]
             self.accept_table = self.entropy_table <= self.threshold
-        else:
-            self.entropy_table = None
-        if self._flat or self._quantized:
             self._leaf_is_second = np.ascontiguousarray(
                 (self.backend.leaf_label == self.classes[-1]).astype(np.int64)
             )
+        else:
+            self.entropy_table = None
 
     @classmethod
     def from_parts(
@@ -776,8 +757,6 @@ class PublishedHmd:
         view.hmd = None
         view.members = None
         view.backend = backend
-        view._quantized = isinstance(backend, QuantizedForest)
-        view._flat = not view._quantized
         view.compile_mode = "detached"
         view.classes = np.asarray(classes)
         view.threshold = float(threshold)
@@ -814,10 +793,10 @@ class PublishedHmd:
     def verdict(self, X) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(predictions, entropy, accepted)`` for a stacked batch.
 
-        Bitwise identical to ``hmd.analyze(X)`` on every tier: the
-        count-table fast path for compiled binary ensembles, a
-        votes-then-original-functions path for compiled multi-class
-        ensembles, and a plain ``analyze`` fallback otherwise.
+        Bitwise identical to ``hmd.analyze(X)``: compiled binary
+        ensembles take the count-table fast path (the backend's
+        :meth:`~repro.ml.backend.FlatForest.vote_counts` epilogue),
+        everything else a plain ``analyze`` fallback.
         """
         if self.entropy_table is None:
             verdict = self.hmd.analyze(X)
@@ -837,145 +816,12 @@ class PublishedHmd:
             Z = np.asarray(X, dtype=weight.dtype) @ weight + bias
         else:
             Z = self.hmd._transform(X)
-        if self._quantized:
-            counts = self._count_votes_quantized(Z)
-        elif self._flat:
-            counts = self._count_votes(Z)
-        else:
-            votes = self.backend.decisions(np.ascontiguousarray(Z, dtype=float))
-            counts = np.count_nonzero(votes == self.classes[-1], axis=1)
+        counts = self.backend.vote_counts(Z, self._leaf_is_second)
         return (
             self.prediction_table.take(counts),
             self.entropy_table.take(counts),
             self.accept_table.take(counts),
         )
-
-    def _count_votes(self, Z: np.ndarray) -> np.ndarray:
-        """Second-class vote count per row via the shared node tensor.
-
-        The same level-synchronous routing as ``FlatForest.apply`` —
-        identical node transitions, so identical leaves and counts —
-        but chunked to L2-sized row groups and compacted eagerly, and
-        reduced straight to counts instead of materialising the
-        ``(n, M)`` leaf/vote matrices.
-        """
-        forest = self.backend
-        fg, threshold = forest.fg, forest.threshold
-        m, max_depth = forest.n_members, forest.max_depth
-        # encode() is the forest's own input cast (float64, or float32
-        # for a narrowed forest) — one definition for both kernels.
-        Z = forest.encode(Z)
-        n, n_features = Z.shape
-        chunk = max(16, _SHARD_SLOT_TARGET // m)
-        counts = np.empty(n, dtype=np.intp)
-        for start in range(0, n, chunk):
-            nc = min(chunk, n - start)
-            x = Z[start : start + nc].ravel()
-            # The forest's own cached level-0 gather program — one
-            # definition of the root setup for both kernels.
-            rows_f, xi0, thr0, goto0 = forest._setup(nc, n_features)
-            out = np.empty(nc * m, dtype=np.intp)
-            node = np.add(goto0, np.greater(x.take(xi0, mode="clip"), thr0))
-            rows = rows_f
-            idx = None
-            for level in range(1, max_depth):
-                rec = fg.take(node, axis=0, mode="clip")
-                f = rec[:, 0]
-                if level >= 2 and node.size > _MIN_COMPACT:
-                    alive = f >= 0
-                    n_alive = int(np.count_nonzero(alive))
-                    if n_alive == 0:
-                        break
-                    if n_alive < _COMPACT_RATIO * node.size:
-                        live = np.flatnonzero(alive)
-                        if idx is None:
-                            out[:] = node
-                            idx = live
-                        else:
-                            dead = np.flatnonzero(~alive)
-                            out[idx.take(dead)] = node.take(dead)
-                            idx = idx.take(live)
-                        rows = rows.take(live)
-                        node = node.take(live)
-                        rec = rec.take(live, axis=0)
-                        f = rec[:, 0]
-                xv = x.take(np.add(f, rows), mode="clip")
-                node = np.add(rec[:, 1], np.greater(xv, threshold.take(node)))
-            if idx is None:
-                leaves = node
-            else:
-                out[idx] = node
-                leaves = out
-            counts[start : start + nc] = (
-                self._leaf_is_second.take(leaves).reshape(nc, m).sum(axis=1)
-            )
-        return counts
-
-    def _count_votes_quantized(self, Z: np.ndarray) -> np.ndarray:
-        """Second-class vote counts via the uint8 bin-code kernel.
-
-        The batch is quantized **once** (one batched searchsorted, see
-        :meth:`QuantizedForest.encode`), then routed with the same
-        node transitions as :meth:`QuantizedForest._apply_chunk` —
-        identical leaves, identical counts — chunked and compacted with
-        the shard tuning of :meth:`_count_votes`.  Each level gathers
-        one packed int64 per live slot and one uint8 code; since the
-        rewritten codes reproduce the float comparisons exactly
-        (``code > b  <=>  v > edges[b]``), counts are bitwise equal to
-        the float64 kernel's.
-        """
-        forest = self.backend
-        packed = forest.packed
-        m, max_depth = forest.n_members, forest.max_depth
-        codes = forest.encode(Z)
-        n, n_features = codes.shape
-        chunk = max(16, _SHARD_SLOT_TARGET // m)
-        counts = np.empty(n, dtype=np.intp)
-        leaf_code = 255  # the packed layout's leaf sentinel
-        for start in range(0, n, chunk):
-            nc = min(chunk, n - start)
-            x = codes[start : start + nc].ravel()
-            rows_f, xi0, code0, goto0 = forest._setup(nc, n_features)
-            out = np.empty(nc * m, dtype=np.intp)
-            node = np.add(goto0, np.greater(x.take(xi0), code0))
-            rows = rows_f
-            idx = None
-            for level in range(1, max_depth):
-                rec = packed.take(node)
-                code = q_code_view(rec)
-                if level >= 2:
-                    alive = code != leaf_code
-                    n_alive = int(np.count_nonzero(alive))
-                    if n_alive == 0:
-                        break
-                    if (
-                        n_alive < _COMPACT_RATIO * node.size
-                        and node.size > _MIN_COMPACT
-                    ):
-                        live = np.flatnonzero(alive)
-                        if idx is None:
-                            out[:] = node
-                            idx = live
-                        else:
-                            dead = np.flatnonzero(~alive)
-                            out[idx.take(dead)] = node.take(dead)
-                            idx = idx.take(live)
-                        rows = rows.take(live)
-                        node = node.take(live)
-                        rec = rec.take(live)
-                        code = q_code_view(rec)
-                f = q_feat_view(rec)
-                xv = x.take(np.add(f, rows))
-                node = np.add(q_goto_view(rec), np.greater(xv, code), dtype=np.intp)
-            if idx is None:
-                leaves = node
-            else:
-                out[idx] = node
-                leaves = out
-            counts[start : start + nc] = (
-                self._leaf_is_second.take(leaves).reshape(nc, m).sum(axis=1)
-            )
-        return counts
 
 
 # ---------------------------------------------------------------------------

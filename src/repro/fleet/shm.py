@@ -399,8 +399,7 @@ def publish_model(published, *, generation: int = 0) -> tuple[dict, object]:
     pickled-HMD header (correct, just not zero-copy) so the worker
     backend never restricts which models the fleet can serve.
     """
-    quantized = getattr(published, "_quantized", False)
-    if published.entropy_table is None or not (published._flat or quantized):
+    if published.entropy_table is None:
         return (
             {
                 "mode": "pickle",
@@ -411,8 +410,10 @@ def publish_model(published, *, generation: int = 0) -> tuple[dict, object]:
             None,
         )
 
+    from ..ml.backend import QuantizedForest
+
     backend = published.backend
-    if quantized:
+    if isinstance(backend, QuantizedForest):
         kind = "quantized"
         arrays = {
             "packed": np.ascontiguousarray(backend.packed),

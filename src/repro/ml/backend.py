@@ -16,9 +16,18 @@ program:
   ``estimators_features_``) are folded in by remapping each node's
   feature index into the *global* input space, so no per-member column
   slicing survives at predict time.
-* :class:`FlatForest` routes all ``n_samples x n_members`` slots at
-  once: one gather per node record per level, with active-set
-  compaction once most slots have reached leaves.
+* one traversal kernel routes all ``n_samples x n_members`` slots at
+  once, level by level, in row chunks: one gather per node record per
+  level, with active-set compaction once most slots have reached
+  leaves.  :class:`FlatForest` (float64/float32 thresholds) and
+  :class:`QuantizedForest` (uint8 bin codes) share it and differ only
+  in the input encoding, the node-record gather, the internal-node
+  test and the compare step.  Two epilogues read the routed leaves:
+  ``apply``/``decisions`` build the ``(n, n_members)`` leaf or vote
+  matrix, and ``vote_counts`` reduces each row's leaves through a
+  per-leaf indicator for the fleet's count-table verdicts.  Each
+  epilogue keeps its own chunk size and compaction ratio (see the
+  constants below).
 * :class:`CompiledVotePath` is the estimator-facing mixin: a cached
   ``compile()`` (auto-invalidated on refit) plus ``decisions_fast``,
   ``vote_distribution`` and ``predict`` routed through the backend.
@@ -52,9 +61,18 @@ __all__ = [
 ]
 
 _LEAF = -1
-# Rows per traversal chunk are sized so a chunk's slot count
-# (rows x members) stays cache-friendly.
-_SLOT_TARGET = 51_200
+
+# Traversal tuning per epilogue: slots (rows x members) per row chunk,
+# and the live-slot fraction below which the active set is compacted.
+# Both pairs are the values the epilogues' former separate loops were
+# tuned to.  A single shared pair was not adopted: timings of one chunk
+# size against the other disagreed in sign across row counts, row
+# samples and forests (docs/architecture.md §3 has the numbers).
+_APPLY_SLOTS, _APPLY_COMPACT = 51_200, 0.5
+_COUNT_SLOTS, _COUNT_COMPACT = 16_384, 0.75
+# Active sets this small are never compacted: the live-slot gathers it
+# would save cannot repay the flatnonzero/take passes it costs.
+_MIN_COMPACT = 1024
 
 # Backend compile modes: "flat" is the float64 reference kernel,
 # "float32" the same kernel over float32 features/thresholds (front
@@ -75,11 +93,10 @@ COMPILE_MODES = ("flat", "float32", "quantized")
 # <= n_bins - 2), goto = self (the float kernel's self-loop trick) and
 # feature 0 (any in-bounds index: the gathered code is compared
 # against 255, which no uint8 value exceeds, so the slot self-loops
-# forever without clip-mode indexing).
+# forever).
 _Q_GOTO_SHIFT = 32
 _Q_FEAT_SHIFT = 16
 _Q_FEAT_MASK = 0xFFFF
-_Q_CODE_MASK = 0xFF
 _Q_LEAF_CODE = 255
 
 # Byte-view element offsets of (code: uint8, feature: uint16,
@@ -109,7 +126,147 @@ class BackendCompileError(Exception):
     """An ensemble (or member) cannot be flattened; callers fall back."""
 
 
-class FlatForest:
+class _ForestKernel:
+    """The chunked level-synchronous traversal both node layouts share.
+
+    All ``rows x members`` slots of a row chunk advance one tree level
+    per step: gather each slot's node record, gather the input value its
+    feature names, compare, and jump to ``goto`` (the left child) plus
+    the compare bit (right children sit at ``left + 1``).  Leaves point
+    ``goto`` at themselves and never pass the compare, so finished slots
+    self-loop.  Level 0 (every member's root, batch independent) is a
+    cached gather program; from level 2 on one liveness scan per level
+    stops the loop once every slot sits in a leaf, and compacts the
+    active set once few slots are live.
+
+    A layout supplies only what differs: :meth:`encode` (the input
+    cast), ``_root_fields`` (root feature, cut and goto per member),
+    ``_gather`` (node ids to records), ``_internal`` (records to a
+    live mask), ``_feature`` (records to feature indices) and
+    ``_advance`` (the compare-and-jump).  Two epilogues read the
+    routed leaves: :meth:`apply`/:meth:`decisions` materialise the
+    ``(n, n_members)`` leaf or vote matrix, :meth:`vote_counts` reduces
+    each row's leaves through a per-leaf indicator.
+    """
+
+    def __init__(self, leaf_label, roots, n_features: int, max_depth: int):
+        self.leaf_label = leaf_label
+        self.roots = roots
+        self.n_features = int(n_features)
+        self.max_depth = int(max_depth)
+        self.n_members = len(roots)
+        self._setup_cache: dict[int, tuple] = {}
+
+    def _check_width(self, X: np.ndarray) -> np.ndarray:
+        if X.ndim != 2:
+            raise ValueError(
+                "X must be 2-dimensional (n_samples, n_features); got shape "
+                f"{X.shape}."
+            )
+        if X.shape[1] != self.n_features:
+            raise ValueError(
+                f"X has {X.shape[1]} features; backend expects {self.n_features}."
+            )
+        return X
+
+    def _level0(self, nc: int) -> tuple:
+        """Per-chunk-size constants: slot row offsets and the level-0 step."""
+        cached = self._setup_cache.get(nc)
+        if cached is None:
+            if len(self._setup_cache) > 8:
+                self._setup_cache.clear()
+            feature, cut, goto = self._root_fields()
+            rows_f = (np.arange(nc, dtype=np.intp) * self.n_features).repeat(
+                self.n_members
+            )
+            cached = (
+                rows_f,
+                rows_f + np.tile(feature, nc),
+                np.tile(cut, nc),
+                np.tile(goto, nc),
+            )
+            self._setup_cache[nc] = cached
+        return cached
+
+    def _route(self, x: np.ndarray, out: np.ndarray, compact: float) -> None:
+        """Route one chunk of encoded rows (``x`` is the chunk raveled).
+
+        ``out`` receives the leaf id of every (row, member) slot, row
+        major.  Clip-mode input gathers keep a float leaf's feature
+        index ``-1`` in bounds; the value read there is never used.
+        """
+        rows_f, xi, cut, goto = self._level0(len(out) // self.n_members)
+        node = np.add(goto, np.greater(x.take(xi, mode="clip"), cut))
+        idx = None  # None = all slots still tracked full-width
+        for level in range(1, self.max_depth):
+            rec = self._gather(node)
+            if level >= 2:
+                alive = self._internal(rec)
+                n_alive = int(np.count_nonzero(alive))
+                if n_alive == 0:
+                    break
+                if n_alive < compact * node.size and node.size > _MIN_COMPACT:
+                    # Bank the finished slots' leaf ids, keep the live.
+                    live = np.flatnonzero(alive)
+                    if idx is None:
+                        out[:] = node
+                        idx = live
+                    else:
+                        dead = np.flatnonzero(~alive)
+                        out[idx.take(dead)] = node.take(dead)
+                        idx = idx.take(live)
+                    rows_f = rows_f.take(live)
+                    node = node.take(live)
+                    rec = rec.take(live, axis=0)
+            xv = x.take(np.add(self._feature(rec), rows_f), mode="clip")
+            node = self._advance(rec, node, xv)
+        if idx is None:
+            out[:] = node
+        else:
+            out[idx] = node
+
+    def _row_chunks(self, n: int, slots: int):
+        chunk = max(16, slots // self.n_members)
+        for start in range(0, n, chunk):
+            yield start, min(start + chunk, n)
+
+    def apply(self, X: np.ndarray) -> np.ndarray:
+        """Leaf node id per (sample, member), shape ``(n, n_members)``."""
+        X = self.encode(X)
+        m = self.n_members
+        leaves = np.empty(X.shape[0] * m, dtype=np.intp)
+        for start, stop in self._row_chunks(X.shape[0], _APPLY_SLOTS):
+            self._route(
+                X[start:stop].ravel(), leaves[start * m : stop * m], _APPLY_COMPACT
+            )
+        return leaves.reshape(-1, m)
+
+    def decisions(self, X: np.ndarray) -> np.ndarray:
+        """Per-member hard votes, shape ``(n, n_members)``.
+
+        Bitwise identical to the legacy per-member predict loop.
+        """
+        leaves = self.apply(X)
+        return self.leaf_label.take(leaves.ravel()).reshape(leaves.shape)
+
+    def vote_counts(self, X: np.ndarray, indicator: np.ndarray) -> np.ndarray:
+        """Per-row sum of ``indicator`` over the members' leaves.
+
+        ``indicator`` is indexed by node id (e.g. 1 where the leaf votes
+        for a given class), so the result is that class's vote count per
+        row — without materialising the ``(n, n_members)`` matrices.
+        """
+        X = self.encode(X)
+        m = self.n_members
+        counts = np.empty(X.shape[0], dtype=np.intp)
+        for start, stop in self._row_chunks(X.shape[0], _COUNT_SLOTS):
+            leaves = np.empty((stop - start) * m, dtype=np.intp)
+            self._route(X[start:stop].ravel(), leaves, _COUNT_COMPACT)
+            counts[start:stop] = indicator.take(leaves).reshape(-1, m).sum(axis=1)
+        return counts
+
+
+class FlatForest(_ForestKernel):
     """All trees of an ensemble packed into one node tensor.
 
     Storage (``n_nodes`` = total nodes across members; all index
@@ -133,10 +290,6 @@ class FlatForest:
         ``member.predict``'s choice including tie-breaks).
     ``roots``
         ``(n_members,) intp`` root node id per member.
-
-    Traversal is level-synchronous over all ``rows x members`` slots,
-    the level-0 step fully precomputed per batch shape, and the active
-    set compacted once enough slots have self-looped into leaves.
     """
 
     def __init__(
@@ -149,16 +302,11 @@ class FlatForest:
         max_depth: int,
         feature_dtype=np.float64,
     ):
+        super().__init__(leaf_label, roots, n_features, max_depth)
         self.fg = fg
         self.threshold = threshold
-        self.leaf_label = leaf_label
-        self.roots = roots
-        self.n_features = int(n_features)
-        self.max_depth = int(max_depth)
-        self.n_members = len(roots)
         self.n_nodes = len(threshold)
         self.feature_dtype = np.dtype(feature_dtype)
-        self._setup_cache: dict[int, tuple] = {}
 
     def cast(self, dtype) -> "FlatForest":
         """A view of this forest comparing in another float precision.
@@ -185,124 +333,34 @@ class FlatForest:
         )
 
     def encode(self, X: np.ndarray) -> np.ndarray:
-        """The traversal-ready feature matrix for :meth:`apply`.
-
-        A contiguous cast to :attr:`feature_dtype` — the one place an
-        input batch is converted, so callers that replay the routing
-        kernel themselves (the sharded fleet's count kernel) encode
-        identically by construction.
+        """The traversal-ready feature matrix: a contiguous cast to
+        :attr:`feature_dtype`, the one place an input batch is converted.
         """
-        X = np.ascontiguousarray(X, dtype=self.feature_dtype)
-        if X.shape[1] != self.n_features:
-            raise ValueError(
-                f"X has {X.shape[1]} features; backend expects {self.n_features}."
-            )
-        return X
+        return self._check_width(np.ascontiguousarray(X, dtype=self.feature_dtype))
 
-    def _setup(self, nc: int, n_features: int) -> tuple:
-        """Per-batch-shape constants: slot layout and the level-0 step.
-
-        Level 0 visits each member's root for every row — the node ids,
-        features and thresholds are batch-independent, so the entire
-        first gather/compare program is precomputed and cached.
-        """
-        cached = self._setup_cache.get(nc)
-        if cached is not None:
-            return cached
-        if len(self._setup_cache) > 8:
-            self._setup_cache.clear()
-        rows_f = (np.arange(nc, dtype=np.intp) * n_features).repeat(
-            self.n_members
-        )
-        root_f = self.fg[self.roots, 0]
-        xi0 = rows_f + np.tile(root_f, nc)  # clip-mode handles stump roots
-        thr0 = np.tile(self.threshold[self.roots], nc)
-        goto0 = np.tile(self.fg[self.roots, 1], nc)
-        cached = (rows_f, xi0, thr0, goto0)
-        self._setup_cache[nc] = cached
-        return cached
-
-    def apply(self, X: np.ndarray) -> np.ndarray:
-        """Leaf node id per (sample, member), shape ``(n, n_members)``."""
-        X = self.encode(X)
-        n, n_features = X.shape
-        m = self.n_members
-        chunk = max(16, _SLOT_TARGET // m)
-        leaves = np.empty(n * m, dtype=np.intp)
-        for start in range(0, n, chunk):
-            nc = min(chunk, n - start)
-            self._apply_chunk(
-                X[start : start + nc],
-                leaves[start * m : (start + nc) * m],
-            )
-        return leaves.reshape(n, m)
-
-    def _apply_chunk(self, X: np.ndarray, out: np.ndarray) -> None:
-        """Route one chunk of rows; ``out`` receives flat leaf ids.
-
-        The sharded fleet's vote-count kernel
-        (:meth:`repro.fleet.sharding.PublishedHmd._count_votes`)
-        replays this exact routing (level-0 gather program, clip-mode
-        stump handling, live-slot compaction) with different chunk/
-        compaction tuning — a change to the node-transition logic here
-        must be mirrored there, and the sharding fuzz suite pins the
-        bitwise equivalence of the two.
-        """
-        nc, n_features = X.shape
-        x_flat = X.ravel()
-        fg = self.fg
-        threshold = self.threshold
-        rows_f, xi0, thr0, goto0 = self._setup(nc, n_features)
-
-        # Level 0: precomputed gather program (see _setup).
-        xv = x_flat.take(xi0, mode="clip")
-        node = np.add(goto0, np.greater(xv, thr0))
-
-        idx = None  # None = all slots still tracked full-width
-        for level in range(1, self.max_depth):
-            rec = fg.take(node, axis=0, mode="clip")
-            f = rec[:, 0]
-            # Compaction: once most slots have self-looped into leaves,
-            # bank their final node ids and keep only the live ones.
-            # The check itself costs two passes, so it only runs while
-            # the active set is big enough for halving to pay for it.
-            if level >= 2 and node.size > 4096:
-                alive = f >= 0
-                n_alive = int(np.count_nonzero(alive))
-                if n_alive == 0:
-                    break
-                if n_alive < 0.5 * node.size:
-                    live = np.flatnonzero(alive)
-                    if idx is None:
-                        out[:] = node
-                        idx = live
-                    else:
-                        dead = np.flatnonzero(~alive)
-                        out[idx.take(dead)] = node.take(dead)
-                        idx = idx.take(live)
-                    rows_f = rows_f.take(live)
-                    node = node.take(live)
-                    rec = rec.take(live, axis=0)
-                    f = rec[:, 0]
-            xv = x_flat.take(np.add(f, rows_f), mode="clip")
-            gb = np.greater(xv, threshold.take(node))
-            node = np.add(rec[:, 1], gb)
-        if idx is None:
-            out[:] = node
-        else:
-            out[idx] = node
-
-    def decisions(self, X: np.ndarray) -> np.ndarray:
-        """Per-member hard votes, shape ``(n, n_members)``.
-
-        Bitwise identical to the legacy per-member predict loop.
-        """
-        return self.leaf_label.take(self.apply(X).ravel()).reshape(
-            X.shape[0], self.n_members
+    def _root_fields(self) -> tuple:
+        return (
+            self.fg[self.roots, 0],
+            self.threshold[self.roots],
+            self.fg[self.roots, 1],
         )
 
+    def _gather(self, node: np.ndarray) -> np.ndarray:
+        return self.fg.take(node, axis=0, mode="clip")
 
-class QuantizedForest:
+    @staticmethod
+    def _internal(rec: np.ndarray) -> np.ndarray:
+        return rec[:, 0] >= 0
+
+    @staticmethod
+    def _feature(rec: np.ndarray) -> np.ndarray:
+        return rec[:, 0]
+
+    def _advance(self, rec, node, xv) -> np.ndarray:
+        return np.add(rec[:, 1], np.greater(xv, self.threshold.take(node)))
+
+
+class QuantizedForest(_ForestKernel):
     """A hist-grown flat forest traversed entirely in uint8 bin codes.
 
     Histogram-grown trees (:mod:`repro.ml.training`) only ever split at
@@ -363,40 +421,11 @@ class QuantizedForest:
         edges_sorted: np.ndarray,
         edge_prefix: np.ndarray,
     ):
+        super().__init__(leaf_label, roots, n_features, max_depth)
         self.packed = packed
-        self.leaf_label = leaf_label
-        self.roots = roots
-        self.n_features = int(n_features)
-        self.max_depth = int(max_depth)
-        self.n_members = len(roots)
         self.n_nodes = len(packed)
         self.edges_sorted = edges_sorted
         self.edge_prefix = edge_prefix
-        self._setup_cache: dict[int, tuple] = {}
-
-    def _setup(self, nc: int, n_features: int) -> tuple:
-        """Per-batch-shape constants — the level-0 gather program.
-
-        Mirrors :meth:`FlatForest._setup`: root node records are batch
-        independent, so the first level's feature indices, codes and
-        goto targets are precomputed per chunk shape and cached.
-        """
-        cached = self._setup_cache.get(nc)
-        if cached is not None:
-            return cached
-        if len(self._setup_cache) > 8:
-            self._setup_cache.clear()
-        rows_f = (np.arange(nc, dtype=np.intp) * n_features).repeat(
-            self.n_members
-        )
-        rec = self.packed[self.roots]
-        root_f = (rec >> _Q_FEAT_SHIFT) & _Q_FEAT_MASK
-        xi0 = rows_f + np.tile(root_f, nc)
-        code0 = np.tile(rec & _Q_CODE_MASK, nc)
-        goto0 = np.tile(rec >> _Q_GOTO_SHIFT, nc)
-        cached = (rows_f, xi0, code0, goto0)
-        self._setup_cache[nc] = cached
-        return cached
 
     def encode(self, X: np.ndarray) -> np.ndarray:
         """Quantize a raw float batch to the uint8 code matrix.
@@ -405,105 +434,31 @@ class QuantizedForest:
         prefix-matrix gather — bitwise identical to
         ``BinMapper.transform`` (which is itself pinned against the
         per-feature reference loop).  Already-encoded uint8 input
-        passes through untouched, so fleet kernels can quantize once
-        per batch and reuse the codes across chunks.
+        passes through untouched.
         """
-        X = np.asarray(X)
+        X = self._check_width(np.asarray(X))
         if X.dtype == np.uint8:
-            codes = np.ascontiguousarray(X)
-        else:
-            from .training import quantize_with_tables
+            return np.ascontiguousarray(X)
+        from .training import quantize_with_tables
 
-            codes = quantize_with_tables(self.edges_sorted, self.edge_prefix, X)
-        if codes.shape[1] != self.n_features:
-            raise ValueError(
-                f"X has {codes.shape[1]} features; backend expects {self.n_features}."
-            )
-        return codes
+        return quantize_with_tables(self.edges_sorted, self.edge_prefix, X)
 
-    def apply(self, X: np.ndarray) -> np.ndarray:
-        """Leaf node id per (sample, member), shape ``(n, n_members)``."""
-        codes = self.encode(X)
-        n, n_features = codes.shape
-        m = self.n_members
-        chunk = max(16, _SLOT_TARGET // m)
-        leaves = np.empty(n * m, dtype=np.intp)
-        for start in range(0, n, chunk):
-            nc = min(chunk, n - start)
-            self._apply_chunk(
-                codes[start : start + nc],
-                leaves[start * m : (start + nc) * m],
-            )
-        return leaves.reshape(n, m)
+    def _root_fields(self) -> tuple:
+        rec = self.packed[self.roots]
+        return q_feat_view(rec), q_code_view(rec), q_goto_view(rec).astype(np.intp)
 
-    def _apply_chunk(self, codes: np.ndarray, out: np.ndarray) -> None:
-        """Route one chunk of encoded rows; ``out`` receives leaf ids.
+    def _gather(self, node: np.ndarray) -> np.ndarray:
+        return self.packed.take(node)
 
-        The same level-synchronous program as
-        :meth:`FlatForest._apply_chunk` — identical node transitions by
-        the code/threshold equivalence above — with the per-level loads
-        collapsed into one packed-record gather.  The sharded fleet's
-        quantized count kernel
-        (:meth:`repro.fleet.sharding.PublishedHmd._count_votes_quantized`)
-        replays this routing with its own chunk/compaction tuning; the
-        fuzz suite pins the bitwise equivalence.
-        """
-        nc, n_features = codes.shape
-        x_flat = codes.ravel()
-        packed = self.packed
-        rows_f, xi0, code0, goto0 = self._setup(nc, n_features)
+    @staticmethod
+    def _internal(rec: np.ndarray) -> np.ndarray:
+        return q_code_view(rec) != _Q_LEAF_CODE
 
-        # Level 0: precomputed gather program.  Root feature indices
-        # are always in-bounds (leaf roots store feature 0), so no
-        # clip-mode gather is needed anywhere in this kernel.
-        xv = x_flat.take(xi0)
-        node = np.add(goto0, np.greater(xv, code0))
+    _feature = staticmethod(q_feat_view)
 
-        idx = None  # None = all slots still tracked full-width
-        for level in range(1, self.max_depth):
-            rec = packed.take(node)
-            code = q_code_view(rec)
-            # Leaves self-loop on the 255 sentinel.  The liveness scan
-            # runs every level (it is one uint8 pass): ensembles carry
-            # a long sparse depth tail — a handful of slots alive for
-            # the last dozen levels — and breaking the moment the scan
-            # hits zero beats looping to max_depth on shrunken arrays.
-            if level >= 2:
-                alive = code != _Q_LEAF_CODE
-                n_alive = int(np.count_nonzero(alive))
-                if n_alive == 0:
-                    break
-                if n_alive < 0.5 * node.size and node.size > 1024:
-                    live = np.flatnonzero(alive)
-                    if idx is None:
-                        out[:] = node
-                        idx = live
-                    else:
-                        dead = np.flatnonzero(~alive)
-                        out[idx.take(dead)] = node.take(dead)
-                        idx = idx.take(live)
-                    rows_f = rows_f.take(live)
-                    node = node.take(live)
-                    rec = rec.take(live)
-                    code = q_code_view(rec)
-            f = q_feat_view(rec)
-            xv = x_flat.take(np.add(f, rows_f))
-            gb = np.greater(xv, code)
-            node = np.add(q_goto_view(rec), gb, dtype=np.intp)
-        if idx is None:
-            out[:] = node
-        else:
-            out[idx] = node
-
-    def decisions(self, X: np.ndarray) -> np.ndarray:
-        """Per-member hard votes, shape ``(n, n_members)``.
-
-        Bitwise identical to the float64 flat forest (and therefore to
-        the legacy per-member predict loop).
-        """
-        return self.leaf_label.take(self.apply(X).ravel()).reshape(
-            np.asarray(X).shape[0], self.n_members
-        )
+    @staticmethod
+    def _advance(rec, node, xv) -> np.ndarray:
+        return np.add(q_goto_view(rec), np.greater(xv, q_code_view(rec)), dtype=np.intp)
 
 
 def _flatten_member(

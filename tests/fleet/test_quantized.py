@@ -119,6 +119,20 @@ class TestPublishedHmdModes:
         np.testing.assert_array_equal(predictions, reference.predictions)
         np.testing.assert_array_equal(entropy, reference.entropy)
 
+    @pytest.mark.parametrize("mode", ["float64", "float32", "quantized"])
+    @pytest.mark.parametrize("n_components", [None, 4])
+    def test_non_2d_input_rejected_alike(self, mode, n_components):
+        """A 1-D row or a 3-D stack gets one ValueError in every mode."""
+        X, hmd = make_hmd(
+            "quantized" if mode == "quantized" else "float64",
+            n_components=n_components,
+        )
+        hmd.compile(mode=mode)
+        published = PublishedHmd(hmd)
+        for bad in (X[0], X[None, :5]):
+            with pytest.raises(ValueError, match="must be 2-dimensional"):
+                published.verdict(bad)
+
     def test_is_current_tracks_compile_mode(self):
         """Satellite 2: a mode switch alone makes the publication stale."""
         X, hmd = make_hmd("quantized")

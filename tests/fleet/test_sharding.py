@@ -36,8 +36,14 @@ from repro.fleet import (
 )
 from repro.fleet.engine import batch_verdict_key
 from repro.fleet.report import device_report_key
-from repro.ml import BaggingClassifier, RandomForestClassifier
+from repro.ml import (
+    BaggingClassifier,
+    DecisionTreeClassifier,
+    RandomForestClassifier,
+)
+from repro.ml.backend import FlatForest, QuantizedForest
 from repro.uncertainty import TrustedHMD
+from repro.uncertainty.entropy import shannon_entropy, votes_to_distribution
 from tests.conftest import make_blobs
 
 
@@ -351,6 +357,87 @@ class TestPublishedHmd:
     def test_requires_fitted(self):
         with pytest.raises(ValueError):
             PublishedHmd(TrustedHMD(RandomForestClassifier(n_estimators=3)))
+
+
+def _oracle_ensemble(kind, grower):
+    """An M=100 binary ensemble of one member shape."""
+    if kind == "rf":
+        return RandomForestClassifier(n_estimators=100, grower=grower, random_state=0)
+    if kind == "stumps":
+        return RandomForestClassifier(
+            n_estimators=100, max_depth=1, grower=grower, random_state=1
+        )
+    if kind == "bagging":  # per-member feature subsets
+        return BaggingClassifier(
+            DecisionTreeClassifier(grower=grower),
+            n_estimators=100,
+            max_features=0.5,
+            random_state=2,
+        )
+    # One feature per member and an impurity floor: members handed a
+    # noise column stay single leaves next to members of depth >= 3.
+    return BaggingClassifier(
+        DecisionTreeClassifier(grower=grower, min_impurity_decrease=0.01),
+        n_estimators=100,
+        max_features=1,
+        random_state=3,
+    )
+
+
+class TestEpiloguesMatchOracle:
+    """Both traversal epilogues against the legacy per-member loop.
+
+    ``apply`` (the leaf-matrix epilogue behind ``analyze``) and
+    ``vote_counts`` (behind :meth:`PublishedHmd.verdict`) share one
+    routing kernel, so comparing the two with each other proves
+    nothing about it; both are checked against
+    ``CompiledVotePath.decisions``, one ``member.predict`` per member.
+    Row counts straddle both epilogues' chunk edges at M=100 (163/164
+    rows per count chunk, 512/513 per leaf-matrix chunk), so chunking
+    and compaction run under each caller's constants.
+    """
+
+    @pytest.mark.parametrize("kind", ["rf", "bagging", "stumps", "leaves"])
+    @pytest.mark.parametrize("n_components", [None, 3])
+    @pytest.mark.parametrize("mode", ["float64", "quantized"])
+    def test_apply_and_counts_match_legacy_votes(self, kind, n_components, mode):
+        X, y = make_blobs(n_per_class=150, separation=2.0, seed=21)
+        rng = np.random.default_rng(0)
+        X = np.hstack([X, rng.normal(size=(len(X), 3))])  # noise columns
+        grower = "hist" if mode == "quantized" else "exact"
+        hmd = TrustedHMD(
+            _oracle_ensemble(kind, grower), threshold=0.4, n_components=n_components
+        ).fit(X, y)
+        hmd.compile(mode=mode)
+        ensemble = hmd.ensemble_
+        published = PublishedHmd(hmd)
+        backend = published.backend
+        assert backend.n_members == 100
+        assert isinstance(
+            backend, QuantizedForest if mode == "quantized" else FlatForest
+        )
+        depths = np.array([m.tree_.max_depth() for m in ensemble.estimators_])
+        if kind == "leaves":
+            assert (depths == 0).any() and depths.max() >= 3
+        classes = published.classes
+        for n in (1, 163, 164, 512, 513, 1500):
+            Xq = rng.normal(scale=2.0, size=(n, X.shape[1]))
+            Z = hmd._transform(Xq)
+            legacy = ensemble.decisions(Z)
+            votes = backend.leaf_label.take(backend.apply(Z))
+            np.testing.assert_array_equal(votes, legacy)
+            counts = backend.vote_counts(Z, published._leaf_is_second)
+            np.testing.assert_array_equal(
+                counts, np.count_nonzero(legacy == classes[-1], axis=1)
+            )
+            distribution = votes_to_distribution(legacy, classes)
+            entropy = shannon_entropy(distribution, base=hmd.estimator_.base)
+            predictions, got_entropy, accepted = published.verdict(Xq)
+            np.testing.assert_array_equal(
+                predictions, classes[np.argmax(distribution, axis=1)]
+            )
+            np.testing.assert_array_equal(got_entropy, entropy)
+            np.testing.assert_array_equal(accepted, entropy <= hmd.policy_.threshold)
 
 
 class TestShardedEquivalence:

@@ -111,11 +111,11 @@ def test_version_exposed():
 
 
 def test_fleet_import_skips_scipy_and_experiments():
-    # A fresh interpreter: this process has long since loaded both.
+    # A fresh interpreter: this process has long since loaded all three.
     src = str(Path(repro.__file__).resolve().parents[1])
     code = (
         "import sys, repro.fleet; "
-        "print(sorted(m for m in ('scipy', 'repro.experiments') "
+        "print(sorted(m for m in ('scipy', 'repro.experiments', 'repro.sim') "
         "if m in sys.modules))"
     )
     proc = subprocess.run(
